@@ -23,6 +23,7 @@ var detGateFiles = []string{
 	"internal/search/search_test.go",
 	"internal/service/golden_test.go",
 	"internal/sweeprun/sweeprun_test.go",
+	"internal/timing/replay_test.go",
 	"internal/trace/store_test.go",
 }
 

@@ -116,6 +116,10 @@ type Config struct {
 const (
 	flagValid = 1 << 0
 	flagDirty = 1 << 1
+	// flagPrefetched marks a line that Prefetch installed and no
+	// demand reference has touched yet: the tag the on-chip prefetcher
+	// baselines chain on, and the "wasted" test when the line dies.
+	flagPrefetched = 1 << 2
 )
 
 // invalidTag occupies the tag slot of an invalid way so the probe
@@ -192,6 +196,13 @@ type Result struct {
 	WroteBack bool
 	// VictimBlock is the displaced line's block address when Evicted.
 	VictimBlock uint64
+	// Prefetched is set on the first demand hit (Read or Write) to a
+	// line that Prefetch installed; the hit clears the line's
+	// prefetched bit, so later hits report false.
+	Prefetched bool
+	// EvictedPrefetched reports that the displaced line had been
+	// prefetched and never referenced: a wasted prefetch.
+	EvictedPrefetched bool
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use.
@@ -204,7 +215,7 @@ type Result struct {
 type Cache struct {
 	cfg        Config
 	tags       []uint64
-	meta       []uint8  // flagValid | flagDirty per way
+	meta       []uint8  // flagValid | flagDirty | flagPrefetched per way
 	used       []uint64 // LRU stamps, written only under LRU
 	filled     []uint64 // FIFO stamps, written only under FIFO
 	numSets    uint
@@ -512,6 +523,33 @@ func (c *Cache) HitAt(way uint64, write bool) {
 	}
 }
 
+// ClaimPrefetched reports whether the line at way (as returned by a
+// ProbeHit) was installed by Prefetch and not yet referenced, and
+// clears the mark: the first demand use of a prefetched line. HitAt
+// leaves the mark alone, so callers that pair Probe with HitAt on a
+// cache that takes prefetches claim it themselves; Read and Write do.
+//
+//simlint:hotpath
+func (c *Cache) ClaimPrefetched(way uint64) bool {
+	if c.meta[way]&flagPrefetched == 0 {
+		return false
+	}
+	c.meta[way] &^= flagPrefetched
+	return true
+}
+
+// UntouchedPrefetches counts the resident lines Prefetch installed
+// that no demand reference has touched yet.
+func (c *Cache) UntouchedPrefetches() uint64 {
+	var n uint64
+	for _, m := range c.meta {
+		if m&flagPrefetched != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // NoteUnsampled counts a reference skipped by set sampling.
 //
 //simlint:hotpath
@@ -524,13 +562,15 @@ func (c *Cache) Read(addr uint64) Result { return c.access(addr, false) }
 func (c *Cache) Write(addr uint64) Result { return c.access(addr, true) }
 
 // access is the one-shot hit/miss/fill path: Probe plus the matching
-// completion.
+// completion. A hit claims the line's prefetched mark (see
+// ClaimPrefetched).
 func (c *Cache) access(addr uint64, write bool) Result {
 	way, st := c.Probe(addr)
 	switch st {
 	case ProbeHit:
+		first := c.ClaimPrefetched(way)
 		c.HitAt(way, write)
-		return Result{Sampled: true, Hit: true}
+		return Result{Sampled: true, Hit: true, Prefetched: first}
 	case ProbeUnsampled:
 		c.NoteUnsampled()
 		return Result{}
@@ -564,10 +604,11 @@ func (c *Cache) MissAt(addr uint64, write bool) Result {
 
 	res := Result{Sampled: true, Filled: true}
 	i := c.pickVictim(base, end)
-	if c.meta[i]&flagValid != 0 {
+	if m := c.meta[i]; m&flagValid != 0 {
 		res.Evicted = true
 		res.VictimBlock = c.victimBlock(set, c.tags[i])
-		if c.meta[i]&flagDirty != 0 {
+		res.EvictedPrefetched = m&flagPrefetched != 0
+		if m&flagDirty != 0 {
 			res.EvictedDirty = true
 			res.WroteBack = true
 			c.stats.WriteBacks++
@@ -640,7 +681,9 @@ func (c *Cache) pickVictim(base, end uint64) uint64 {
 // happens and Filled is false; otherwise the fill and any eviction are
 // handled exactly as for a demand miss (the victim's write-back is
 // reported so the caller can account the traffic). Replacement state
-// is updated so prefetched blocks age like fetched ones.
+// is updated so prefetched blocks age like fetched ones. The filled
+// line carries a prefetched mark until its first demand hit (reported
+// as Result.Prefetched) or its eviction (Result.EvictedPrefetched).
 func (c *Cache) Prefetch(addr uint64) Result {
 	set, tag := c.index(addr)
 	if !c.sampled(set) {
@@ -656,17 +699,18 @@ func (c *Cache) Prefetch(addr uint64) Result {
 	c.clock++
 	res := Result{Sampled: true, Filled: true}
 	i := c.pickVictim(base, end)
-	if c.meta[i]&flagValid != 0 {
+	if m := c.meta[i]; m&flagValid != 0 {
 		res.Evicted = true
 		res.VictimBlock = c.victimBlock(set, c.tags[i])
-		if c.meta[i]&flagDirty != 0 {
+		res.EvictedPrefetched = m&flagPrefetched != 0
+		if m&flagDirty != 0 {
 			res.EvictedDirty = true
 			res.WroteBack = true
 			c.stats.WriteBacks++
 		}
 	}
 	c.tags[i] = tag
-	c.meta[i] = flagValid
+	c.meta[i] = flagValid | flagPrefetched
 	if c.used != nil {
 		c.used[i] = c.clock
 	}

@@ -131,13 +131,15 @@ func DefaultConfig() Config {
 
 // System is a running memory system. It is not safe for concurrent use.
 //
-// tap is exempt from snapshot coverage everywhere: it is a wiring
-// hook, and the replay engine never shards or checkpoints a
-// hook-carrying system. bw is exempt in adopt only — an adopter keeps
-// its own traffic ledger while taking the front end.
+// tap and tapRef are exempt from snapshot coverage everywhere: they
+// are a wiring hook and its per-batch cursor, and the replay engine
+// never shards or checkpoints a hook-carrying system. bw is exempt in
+// adopt only — an adopter keeps its own traffic ledger while taking
+// the front end.
 //
 //simlint:state
 //simlint:statederived tap
+//simlint:statederived tapRef
 //simlint:statederived bw adopt
 type System struct {
 	cfg      Config
@@ -158,20 +160,44 @@ type System struct {
 	out          Outcome // scratch for AccessOutcome
 
 	// tap, when non-nil, records every backend event missVia generates
-	// (L1 miss fills and write-backs) as packed words. The multi-config
-	// replay engine enables it on one leader system when every system
-	// in a fan-out shares the same L1 front end: the followers then
-	// replay only the tapped events through their stream-side state
-	// instead of re-simulating an identical L1 (see applyTap).
-	tap []uint64
+	// (L1 miss fills, write-backs and no-write-allocate stores). The
+	// multi-config replay engine enables it on one leader system when
+	// every system in a fan-out shares the same L1 front end: the
+	// followers then replay only the tapped events through their
+	// stream-side state instead of re-simulating an identical L1 (see
+	// applyTap). tapRef is the batch index AccessPacked is on, stamped
+	// into each event.
+	tap    []TapEvent
+	tapRef uint32
 }
 
-// Backend event words carried in System.tap, low bits first: bit 0 is
-// the event type, bit 1 the ifetch flag of a fill, the rest the
-// address.
+// TapEvent is one backend event of a shared-front replay: what an L1
+// miss sends past the on-chip caches. A reference that misses produces
+// one or two events, in order: a write-back of the dirty victim, then
+// the fill (or, for a no-write-allocate store, the store itself).
+type TapEvent struct {
+	// Addr is the referenced byte address, or for a write-back the
+	// displaced block's number.
+	Addr uint64
+	// Ref is the index, within the batch AccessPacked was given, of the
+	// reference that caused the event.
+	Ref uint32
+	// Kind is a set of Tap* flags; an event with neither TapWriteBack
+	// nor TapStoreThrough is a fill.
+	Kind uint8
+}
+
+// TapEvent.Kind flags.
 const (
-	tapWriteBack = 1 // bits 2..: written-back block address
-	tapIFetch    = 2 // fill events only: the miss was an ifetch
+	// TapWriteBack: a dirty L1 victim went to memory.
+	TapWriteBack uint8 = 1 << iota
+	// TapStoreThrough: a no-write-allocate store miss went to memory
+	// without filling the L1.
+	TapStoreThrough
+	// TapIFetch: the reference was an instruction fetch.
+	TapIFetch
+	// TapWrite: the reference was a store.
+	TapWrite
 )
 
 // Bandwidth is the block-traffic ledger. All counts are in cache
@@ -397,7 +423,7 @@ func (s *System) AccessPacked(words []uint64) {
 	if !pd.DeferHits() || !pi.DeferHits() {
 		// Stamped replacement: every hit must update its way's stamp,
 		// so run the full per-reference bookkeeping.
-		for _, w := range words {
+		for i, w := range words {
 			c, p, write, ifetch := ld, &pd, w&3 == uint64(mem.Write), false
 			if w&3 == uint64(IFetchKind) {
 				c, p, write, ifetch = li, &pi, false, true
@@ -407,6 +433,7 @@ func (s *System) AccessPacked(words []uint64) {
 				c.HitAt(way, write)
 				continue
 			}
+			s.tapRef = uint32(i)
 			s.missVia(c, mem.Addr(w>>2), write, ifetch, st)
 		}
 		return
@@ -416,11 +443,12 @@ func (s *System) AccessPacked(words []uint64) {
 	// registers and flushes once per batch — no per-reference stores at
 	// all on a read hit.
 	var hitsD, hitsI uint64
-	for _, w := range words {
+	for i, w := range words {
 		if w&3 == uint64(IFetchKind) {
 			if _, st := pi.Probe(w >> 2); st == cache.ProbeHit {
 				hitsI++
 			} else {
+				s.tapRef = uint32(i)
 				s.missVia(li, mem.Addr(w>>2), false, true, st)
 			}
 			continue
@@ -429,6 +457,7 @@ func (s *System) AccessPacked(words []uint64) {
 		way, st := pd.Probe(w >> 2)
 		switch {
 		case st != cache.ProbeHit:
+			s.tapRef = uint32(i)
 			s.missVia(ld, mem.Addr(w>>2), write, false, st)
 		case write:
 			ld.HitAt(way, true)
@@ -492,7 +521,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 			s.noteTraffic(mem.Addr(wbBlock))
 			s.invalidateStreams(mem.Addr(wbBlock))
 			if s.tap != nil {
-				s.tapEvent(wbBlock<<2 | tapWriteBack)
+				s.tapEvent(wbBlock, TapWriteBack, write, ifetch)
 			}
 		}
 	case res.WroteBack:
@@ -502,7 +531,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		s.noteTraffic(mem.Addr(res.VictimBlock))
 		s.invalidateStreams(mem.Addr(res.VictimBlock))
 		if s.tap != nil {
-			s.tapEvent(res.VictimBlock<<2 | tapWriteBack)
+			s.tapEvent(res.VictimBlock, TapWriteBack, write, ifetch)
 		}
 	}
 	if !res.Filled {
@@ -510,6 +539,9 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		// memory (already counted by the cache's WriteBacks); nothing
 		// to fetch.
 		s.out.Level = LevelNone
+		if s.tap != nil {
+			s.tapEvent(uint64(addr), TapStoreThrough, write, ifetch)
+		}
 		return
 	}
 	blk := s.geom.BlockAddr(addr)
@@ -526,11 +558,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		}
 	}
 	if s.tap != nil {
-		ev := uint64(addr) << 2
-		if ifetch {
-			ev |= tapIFetch
-		}
-		s.tapEvent(ev)
+		s.tapEvent(uint64(addr), 0, write, ifetch)
 	}
 	set := s.streams
 	if ifetch && s.streamsI != nil {
@@ -583,8 +611,14 @@ func (s *System) invalidateStreams(blk mem.Addr) {
 // length so growth is the rare case even then.
 //
 //simlint:coldpath
-func (s *System) tapEvent(ev uint64) {
-	s.tap = append(s.tap, ev)
+func (s *System) tapEvent(addr uint64, kind uint8, write, ifetch bool) {
+	if write {
+		kind |= TapWrite
+	}
+	if ifetch {
+		kind |= TapIFetch
+	}
+	s.tap = append(s.tap, TapEvent{Addr: addr, Ref: s.tapRef, Kind: kind})
 }
 
 // applyTap replays a leader system's tapped backend events (see
@@ -594,26 +628,33 @@ func (s *System) tapEvent(ev uint64) {
 // configured identically to the leader's and has no victim cache, so
 // every L1 decision the leader made holds here verbatim; the L1
 // statistics themselves are copied once at the end of the replay
-// (adoptFrontStats) instead of being re-simulated.
+// (adoptFrontStats) instead of being re-simulated. Like missVia it
+// accounts s.out as it goes, which TapOutcome reads.
 //
 //simlint:hotpath
 //simlint:borrowed events
-func (s *System) applyTap(events []uint64) {
-	for _, ev := range events {
-		if ev&tapWriteBack != 0 {
-			blk := mem.Addr(ev >> 2)
+func (s *System) applyTap(events []TapEvent) {
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind&TapWriteBack != 0 {
+			blk := mem.Addr(ev.Addr)
 			s.bw.WriteBacks++
+			s.out.WroteBack = true
 			s.noteTraffic(blk)
 			s.invalidateStreams(blk)
 			continue
 		}
-		addr := mem.Addr(ev >> 2)
-		ifetch := ev&tapIFetch != 0
+		if ev.Kind&TapStoreThrough != 0 {
+			s.out.Level = LevelNone
+			continue
+		}
+		addr := mem.Addr(ev.Addr)
 		blk := s.geom.BlockAddr(addr)
 		set := s.streams
-		if ifetch && s.streamsI != nil {
+		if ev.Kind&TapIFetch != 0 && s.streamsI != nil {
 			set = s.streamsI
 		}
+		s.out.Level = LevelMemory
 		if set == nil {
 			s.bw.DemandFetches++
 			s.noteTraffic(blk)
@@ -621,12 +662,28 @@ func (s *System) applyTap(events []uint64) {
 		}
 		if pr := set.ProbeOutcome(blk); pr.Hit {
 			s.bw.StreamFills++
+			s.out.Level = LevelStream
+			s.out.Pending = pr.Pending
+			s.out.Prefetches += pr.Issued
 			continue
 		}
 		s.bw.DemandFetches++
 		s.noteTraffic(blk)
 		s.allocatePolicy(set, addr, blk)
 	}
+}
+
+// TapOutcome runs the backend events of one reference — the events a
+// ReplayFront batch reported with one Ref — through this system's
+// stream side and reports how the reference was serviced, exactly as
+// AccessOutcome would have on a system that simulated its own L1.
+//
+//simlint:hotpath
+//simlint:borrowed events
+func (s *System) TapOutcome(events []TapEvent) Outcome {
+	s.out = Outcome{}
+	s.applyTap(events)
+	return s.out
 }
 
 // adoptFrontStats copies the shared-front L1 statistics from the

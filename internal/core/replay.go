@@ -12,10 +12,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"streamsim/internal/stream"
 	"streamsim/internal/trace"
 )
 
@@ -125,14 +127,14 @@ func ReplayStoreMultiMode(ctx context.Context, systems []*System, st *trace.Stor
 	return replayMultiSharded(ctx, systems, st)
 }
 
-// sharedFront reports whether every system presents an identical L1
+// SharedFront reports whether every system presents an identical L1
 // front end — same geometry, same L1I and L1D configuration, no victim
 // cache. L1 contents evolve identically across such systems no matter
 // how the stream side is configured (every L1 miss fills the cache
 // whether a stream or memory supplied the block), so one leader can
 // simulate the front once and the rest need only the miss and
 // write-back events.
-func sharedFront(systems []*System) bool {
+func SharedFront(systems []*System) bool {
 	lead := systems[0].cfg
 	if lead.VictimEntries != 0 {
 		return false
@@ -145,6 +147,65 @@ func sharedFront(systems []*System) bool {
 		}
 	}
 	return true
+}
+
+// armTap enables the backend-event tap on a shared-front leader.
+func (s *System) armTap() { s.tap = make([]TapEvent, 0, trace.ReplayBatchLen) }
+
+// ReplayFront replays a recorded trace through the shared L1 front of
+// systems exactly once and hands each batch's backend events to fn:
+// n is the batch length and events (borrowed for the call) are the
+// fills, write-backs and no-write-allocate stores its misses caused,
+// in reference order, each stamped with its reference's index in the
+// batch. The caller runs the events through the systems' stream sides
+// (TapOutcome) or consumes them directly; every other reference of the
+// batch hit in the L1 (or was skipped by set sampling).
+//
+// The front is a bare system — systems[0]'s L1s, starting from a copy
+// of its L1 state, with no stream side — so the systems must share
+// their front (SharedFront) and hold identical L1 state on entry. On
+// every exit, cancelled or not, each system adopts the front's L1
+// state and statistics, so it ends exactly as a replay of the same
+// consumed prefix through its own L1 would have left it.
+func ReplayFront(ctx context.Context, systems []*System, st *trace.Store, fn func(n int, events []TapEvent)) error {
+	if len(systems) == 0 {
+		return nil
+	}
+	if !SharedFront(systems) {
+		return fmt.Errorf("core: ReplayFront needs systems that share one L1 front")
+	}
+	cfg := systems[0].cfg
+	cfg.Streams = stream.Config{}
+	cfg.PartitionedStreams = false
+	cfg.UnitFilterEntries = 0
+	cfg.Stride = NoStrideDetection
+	cfg.OnMemoryTraffic = nil
+	front, err := New(cfg)
+	if err != nil {
+		return err
+	}
+	front.l1i = systems[0].l1i.Clone()
+	front.l1d = systems[0].l1d.Clone()
+	front.armTap()
+	defer func() {
+		for _, sys := range systems {
+			sys.adoptFront(front)
+		}
+	}()
+	done := ctx.Done()
+	buf := make([]uint64, trace.ReplayBatchLen)
+	it := st.Iter()
+	for n := it.NextPacked(buf); n > 0; n = it.NextPacked(buf) {
+		front.tap = front.tap[:0]
+		front.AccessPacked(buf[:n])
+		fn(n, front.tap)
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	return nil
 }
 
 // replayMultiSequential decodes each batch once and walks the systems
@@ -161,9 +222,9 @@ func replayMultiSequential(ctx context.Context, systems []*System, st *trace.Sto
 	done := ctx.Done()
 	buf := make([]uint64, trace.ReplayBatchLen)
 	it := st.Iter()
-	if sharedFront(systems) {
+	if SharedFront(systems) {
 		leader, followers := systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
+		leader.armTap()
 		defer func() {
 			// Followers adopt the shared-front statistics on every
 			// exit, so a cancelled replay still leaves each system

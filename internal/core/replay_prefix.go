@@ -67,9 +67,9 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 	it := st.IterAtWindow(fromWindow)
 	var leader *System
 	var followers []*System
-	if len(systems) > 1 && sharedFront(systems) {
+	if len(systems) > 1 && SharedFront(systems) {
 		leader, followers = systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
+		leader.armTap()
 		defer func() {
 			// Followers adopt the shared front on every exit — state as
 			// well as statistics — so a cancelled replay still leaves each

@@ -182,9 +182,9 @@ func replayWindowedExact(ctx context.Context, systems []*System, st *trace.Store
 	buf := make([]uint64, trace.ReplayBatchLen)
 	var leader *System
 	var followers []*System
-	if len(systems) > 1 && sharedFront(systems) {
+	if len(systems) > 1 && SharedFront(systems) {
 		leader, followers = systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
+		leader.armTap()
 		defer func() {
 			for _, sys := range followers {
 				sys.adoptFrontStats(leader)
@@ -300,9 +300,9 @@ func runChunk(ctx context.Context, protos []*System, st *trace.Store, wstart, st
 	}
 	var leader *System
 	var followers []*System
-	if len(css) > 1 && sharedFront(css) {
+	if len(css) > 1 && SharedFront(css) {
 		leader, followers = css[0], css[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
+		leader.armTap()
 		defer func() {
 			for _, sys := range followers {
 				sys.adoptFrontStats(leader)

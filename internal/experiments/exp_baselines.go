@@ -9,10 +9,10 @@ package experiments
 import (
 	"context"
 
-	"streamsim/internal/cache"
 	"streamsim/internal/mem"
 	"streamsim/internal/prefetch"
 	"streamsim/internal/tab"
+	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
@@ -24,107 +24,57 @@ type baselineResult struct {
 	Extra float64
 }
 
-// runOnChipPrefetcher replays a trace through L1s with a prefetcher
-// that fills the cache directly. rpt, when non-nil, additionally
-// observes every data reference (it is on-chip beside the load/store
-// unit); p supplies the miss/first-use hooks.
-func runOnChipPrefetcher(ctx context.Context, name string, size workload.Size, scale float64,
-	p prefetch.Prefetcher, rpt *prefetch.RPT) (baselineResult, error) {
-	tr, err := record(ctx, name, size, scale)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	base, err := missStream(ctx, name, size, scale) // baseline misses (no prefetch)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	var baseMisses uint64
-	for _, ev := range base.events {
-		if !ev.write {
-			baseMisses++
-		}
-	}
-
-	cfg := noStreams()
-	l1i, err := cache.New(cfg.L1I)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	l1d, err := cache.New(cfg.L1D)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	geom := cfg.Geometry
-
-	// pending tracks prefetched-but-untouched blocks for the tagged
-	// policies and for wasted-traffic accounting.
-	pending := map[mem.Addr]bool{}
-	var misses, issued, wasted uint64
-
-	install := func(c *cache.Cache, blocks []mem.Addr) {
-		for _, b := range blocks {
-			addr := geom.BlockToByte(b)
-			res := c.Prefetch(uint64(addr))
-			if !res.Filled {
-				continue
-			}
-			issued++
-			pending[b] = true
-			if res.Evicted {
-				victim := mem.Addr(res.VictimBlock)
-				if pending[victim] {
-					// A prefetched block died untouched.
-					delete(pending, victim)
-					wasted++
-				}
-			}
-		}
-	}
-
-	err = tr.each(ctx, func(pa *mem.Access) {
-		a := *pa
-		c := l1d
-		if a.Kind == mem.IFetch {
-			c = l1i
-		}
-		var res cache.Result
-		if a.Kind == mem.Write {
-			res = c.Write(uint64(a.Addr))
-		} else {
-			res = c.Read(uint64(a.Addr))
-		}
-		blk := geom.BlockAddr(a.Addr)
-		if res.Hit && pending[blk] {
-			delete(pending, blk)
-			install(c, p.FirstUse(a, blk))
-		}
-		if res.Sampled && !res.Hit && res.Filled {
-			misses++
-			if res.Evicted {
-				if victim := mem.Addr(res.VictimBlock); pending[victim] {
-					delete(pending, victim)
-					wasted++
-				}
-			}
-			install(c, p.Miss(a, blk))
-		}
-		if rpt != nil {
-			if pb, ok := rpt.Observe(a); ok {
-				install(c, []mem.Addr{pb})
-			}
-		}
-	})
-	if err != nil {
-		return baselineResult{}, err
-	}
-	wasted += uint64(len(pending)) // still untouched at end
-
+// baselineOf derives the table's percentages from an on-chip run
+// against the no-prefetch miss count.
+func baselineOf(baseMisses uint64, st prefetch.OnChipStats) baselineResult {
 	out := baselineResult{}
 	if baseMisses > 0 {
-		out.Coverage = 100 * float64(int64(baseMisses)-int64(misses)) / float64(baseMisses)
-		out.Extra = 100 * float64(wasted) / float64(baseMisses)
+		out.Coverage = 100 * float64(int64(baseMisses)-int64(st.Misses)) / float64(baseMisses)
+		out.Extra = 100 * float64(st.Wasted) / float64(baseMisses)
 	}
-	return out, nil
+	return out
+}
+
+// onChip replays the trace once through every on-chip prefetcher
+// harness (prefetch.OnChip), decoding each batch once — with its PCs,
+// which an RPT harness reads — for all of them.
+func (r *recorded) onChip(ctx context.Context, harnesses ...*prefetch.OnChip) error {
+	done := ctx.Done()
+	buf := make([]mem.Access, trace.ReplayBatchLen)
+	it := r.store.Iter()
+	for n := it.Next(buf); n > 0; n = it.Next(buf) {
+		for _, oc := range harnesses {
+			oc.AccessBatch(buf[:n])
+		}
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	replayedRefs.Add(uint64(r.store.Len()) * uint64(len(harnesses)))
+	return nil
+}
+
+// baselineHarnesses builds the two on-chip baselines over the paper's
+// L1s: tagged OBL of degree one, and a 512-entry 4-way RPT.
+func baselineHarnesses() (obl, rpt *prefetch.OnChip, err error) {
+	cfg := noStreams()
+	o, err := prefetch.NewOBL(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	if obl, err = prefetch.NewOnChip(cfg.Geometry, cfg.L1I, cfg.L1D, o, nil); err != nil {
+		return nil, nil, err
+	}
+	r, err := prefetch.NewRPT(cfg.Geometry, 512, 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rpt, err = prefetch.NewOnChip(cfg.Geometry, cfg.L1I, cfg.L1D, r, r); err != nil {
+		return nil, nil, err
+	}
+	return obl, rpt, nil
 }
 
 // Baselines compares tagged OBL and the Baer-Chen RPT against the
@@ -149,22 +99,23 @@ func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		obl, err := prefetch.NewOBL(1)
+		tr, err := record(ctx, name, size, opt.Scale)
 		if err != nil {
 			return nil, err
 		}
-		oblRes, err := runOnChipPrefetcher(ctx, name, size, opt.Scale, obl, nil)
+		base, err := missStream(ctx, name, size, opt.Scale) // baseline misses (no prefetch)
 		if err != nil {
 			return nil, err
 		}
-		rpt, err := prefetch.NewRPT(mem.DefaultGeometry(), 512, 4)
+		obl, rpt, err := baselineHarnesses()
 		if err != nil {
 			return nil, err
 		}
-		rptRes, err := runOnChipPrefetcher(ctx, name, size, opt.Scale, rpt, rpt)
-		if err != nil {
+		if err := tr.onChip(ctx, obl, rpt); err != nil {
 			return nil, err
 		}
+		oblRes := baselineOf(base.fills(), obl.Finish())
+		rptRes := baselineOf(base.fills(), rpt.Finish())
 		t.AddRow(name,
 			tab.F(sres.StreamHitRate()), tab.F(sres.ExtraBandwidth()),
 			tab.F(oblRes.Coverage), tab.F(oblRes.Extra),

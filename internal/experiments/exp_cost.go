@@ -10,10 +10,8 @@ import (
 
 	"streamsim/internal/cache"
 	"streamsim/internal/cost"
-	"streamsim/internal/mem"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
-	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
@@ -85,7 +83,7 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 		}
 
 		// Both nodes replay from one decode of the trace.
-		if err := replayTimedMulti(ctx, []*timing.Model{ml2, ms}, tr); err != nil {
+		if err := tr.replayTimed(ctx, []*timing.Model{ml2, ms}); err != nil {
 			return err
 		}
 
@@ -104,48 +102,4 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 		t.AddRow(name, tab.F2(l2CPI), tab.F2(sCPI), tab.F2(speedup))
 	}
 	return t, nil
-}
-
-// replayTimed feeds a recorded trace into a timing model, spreading
-// the instruction count across the accesses.
-func replayTimed(ctx context.Context, m *timing.Model, tr *recorded) error {
-	return replayTimedMulti(ctx, []*timing.Model{m}, tr)
-}
-
-// replayTimedMulti feeds one recorded trace into several timing
-// models from a single decode pass, spreading the instruction count
-// across the accesses exactly as replayTimed always has, so each
-// model's ledger is identical to an independent replayTimed run. The
-// decode skips the PC stream: the timing model, like core.System,
-// never reads Access.PC.
-func replayTimedMulti(ctx context.Context, models []*timing.Model, tr *recorded) error {
-	perAccess := uint64(0)
-	if n := uint64(tr.store.Len()); n > 0 {
-		perAccess = tr.insts / n
-	}
-	done := ctx.Done()
-	buf := make([]mem.Access, trace.ReplayBatchLen)
-	it := tr.store.Iter()
-	var spent uint64
-	for n := it.NextNoPC(buf); n > 0; n = it.NextNoPC(buf) {
-		for _, m := range models {
-			for i := 0; i < n; i++ {
-				m.Access(buf[i])
-				m.AddInstructions(perAccess)
-			}
-		}
-		spent += uint64(n) * perAccess
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	if tr.insts > spent {
-		for _, m := range models {
-			m.AddInstructions(tr.insts - spent)
-		}
-	}
-	replayedRefs.Add(uint64(tr.store.Len()) * uint64(len(models)))
-	return nil
 }

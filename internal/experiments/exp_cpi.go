@@ -44,7 +44,7 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 				return nil, err
 			}
 		}
-		if err := replayTimedMulti(ctx, models, tr); err != nil {
+		if err := tr.replayTimed(ctx, models); err != nil {
 			return nil, err
 		}
 		bare, plain, full := models[0].Stats(), models[1].Stats(), models[2].Stats()

@@ -69,7 +69,7 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 			return err
 		}
 		models := []*timing.Model{unfiltered, filtered}
-		if err := replayTimedMulti(ctx, models, tr); err != nil {
+		if err := tr.replayTimed(ctx, models); err != nil {
 			return err
 		}
 		for j, m := range models {

@@ -20,6 +20,7 @@ import (
 	"streamsim/internal/mem"
 	"streamsim/internal/stream"
 	"streamsim/internal/tab"
+	"streamsim/internal/timing"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -127,26 +128,15 @@ func (r *recorded) AccessBatch(accs []mem.Access) { r.store.AppendBatch(accs) }
 // AddInstructions implements workload.Sink.
 func (r *recorded) AddInstructions(n uint64) { r.insts += n }
 
-// each decodes the trace in batches and calls fn on every access in
-// order — the shared iteration shape for consumers that want scalar
-// visits (miss-stream derivation, the prefetcher baselines, the
-// timing replay) without paying per-access decode state. ctx is
-// polled once per batch; a cancelled walk returns ctx.Err().
-func (r *recorded) each(ctx context.Context, fn func(a *mem.Access)) error {
-	done := ctx.Done()
-	buf := make([]mem.Access, trace.ReplayBatchLen)
-	it := r.store.Iter()
-	for n := it.Next(buf); n > 0; n = it.Next(buf) {
-		for i := 0; i < n; i++ {
-			fn(&buf[i])
-		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
+// replayTimed feeds the trace into timing models from one decode pass
+// (timing.ReplayStore), spreading the workload's instruction count
+// evenly across the accesses. Models sharing the paper's L1 front
+// simulate it once; each then charges only its own miss events.
+func (r *recorded) replayTimed(ctx context.Context, models []*timing.Model) error {
+	if err := timing.ReplayStore(ctx, models, r.store, r.insts); err != nil {
+		return err
 	}
-	replayedRefs.Add(uint64(r.store.Len()))
+	replayedRefs.Add(uint64(r.store.Len()) * uint64(len(models)))
 	return nil
 }
 
@@ -181,10 +171,10 @@ func (r *recorded) replayMulti(ctx context.Context, systems []*core.System, opt 
 	return nil
 }
 
-// replayedRefs counts references replayed (or scalar-walked) through
-// completed trace passes, process-wide. The simd service exposes it as
-// a throughput metric; the add-per-completed-pass granularity keeps
-// the replay loop free of per-batch atomics.
+// replayedRefs counts references replayed through completed trace
+// passes, process-wide. The simd service exposes it as a throughput
+// metric; the add-per-completed-pass granularity keeps the replay
+// loop free of per-batch atomics.
 var replayedRefs atomic.Uint64
 
 // ReplayedRefs returns the total references replayed through completed
@@ -385,7 +375,9 @@ type l2Event struct {
 // l2StreamCache memoizes miss streams per (name, size, scale).
 var l2StreamCache sync.Map
 
-// missStream derives the L1 miss traffic of a benchmark trace.
+// missStream derives the L1 miss traffic of a benchmark trace from one
+// pass of the bare L1 front (core.ReplayFront): its tapped fills and
+// write-backs are exactly the events a secondary cache observes.
 func missStream(ctx context.Context, name string, size workload.Size, scale float64) (*l2MissStream, error) {
 	key := traceKey{name, size, scale}
 	if v, ok := l2StreamCache.Load(key); ok {
@@ -396,45 +388,42 @@ func missStream(ctx context.Context, name string, size workload.Size, scale floa
 		return nil, err
 	}
 	cfg := noStreams()
-	l1i, err := cache.New(cfg.L1I)
-	if err != nil {
-		return nil, err
-	}
-	l1d, err := cache.New(cfg.L1D)
+	sys, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	geom := cfg.Geometry
 	ms := &l2MissStream{}
-	err = tr.each(ctx, func(a *mem.Access) {
-		c := l1d
-		if a.Kind == mem.IFetch {
-			c = l1i
-		}
-		var res cache.Result
-		if a.Kind == mem.Write {
-			res = c.Write(uint64(a.Addr))
-		} else {
-			res = c.Read(uint64(a.Addr))
-		}
-		if !res.Sampled || res.Hit {
-			return
-		}
-		if res.WroteBack {
-			ms.events = append(ms.events, l2Event{
-				addr:  geom.BlockToByte(mem.Addr(res.VictimBlock)),
-				write: true,
-			})
-		}
-		if res.Filled {
-			ms.events = append(ms.events, l2Event{addr: geom.BlockBase(a.Addr)})
+	err = core.ReplayFront(ctx, []*core.System{sys}, tr.store, func(_ int, events []core.TapEvent) {
+		for _, ev := range events {
+			switch {
+			case ev.Kind&core.TapWriteBack != 0:
+				ms.events = append(ms.events, l2Event{
+					addr:  geom.BlockToByte(mem.Addr(ev.Addr)),
+					write: true,
+				})
+			case ev.Kind&core.TapStoreThrough == 0:
+				ms.events = append(ms.events, l2Event{addr: geom.BlockBase(mem.Addr(ev.Addr))})
+			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	replayedRefs.Add(uint64(tr.store.Len()))
 	v, _ := l2StreamCache.LoadOrStore(key, ms)
 	return v.(*l2MissStream), nil
+}
+
+// fills counts the stream's demand fills: the L1 misses of the trace.
+func (ms *l2MissStream) fills() uint64 {
+	var n uint64
+	for _, ev := range ms.events {
+		if !ev.write {
+			n++
+		}
+	}
+	return n
 }
 
 // l2LocalHitRate replays a miss stream through one secondary cache

@@ -19,9 +19,11 @@ import (
 )
 
 // Prefetcher decides which blocks to pull into the primary cache.
-// The harness (internal/experiments) calls Miss for every demand miss
-// and FirstUse the first time a previously prefetched block is
-// referenced; both return block numbers to prefetch.
+// The harness (OnChip) calls Miss for every demand miss and FirstUse
+// the first time a previously prefetched block is referenced; both
+// return block numbers to prefetch. The returned slice may be scratch
+// the prefetcher reuses on its next call, so the harness consumes it
+// before calling again.
 type Prefetcher interface {
 	// Name labels the scheme in results.
 	Name() string
@@ -42,6 +44,8 @@ type OBL struct {
 	// Degree is how many sequential successors to prefetch (classic
 	// OBL uses 1).
 	degree int
+	// next is the scratch Miss and FirstUse return, degree long.
+	next []mem.Addr
 }
 
 // NewOBL builds a tagged OBL prefetcher of the given degree.
@@ -49,28 +53,36 @@ func NewOBL(degree int) (*OBL, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("prefetch: OBL degree %d < 1", degree)
 	}
-	return &OBL{degree: degree}, nil
+	return &OBL{degree: degree, next: make([]mem.Addr, degree)}, nil
 }
 
 // Name implements Prefetcher.
 func (o *OBL) Name() string { return fmt.Sprintf("OBL-%d", o.degree) }
 
-// Miss implements Prefetcher: prefetch the next degree blocks.
+// Miss implements Prefetcher: prefetch the next degree blocks. The
+// result is valid until the next Miss or FirstUse.
+//
+//simlint:hotpath
 func (o *OBL) Miss(_ mem.Access, blk mem.Addr) []mem.Addr {
 	return o.successors(blk)
 }
 
-// FirstUse implements Prefetcher: the tagged policy chains.
+// FirstUse implements Prefetcher: the tagged policy chains. The result
+// is valid until the next Miss or FirstUse.
+//
+//simlint:hotpath
 func (o *OBL) FirstUse(_ mem.Access, blk mem.Addr) []mem.Addr {
 	return o.successors(blk)
 }
 
+// successors fills the scratch with the degree blocks after blk.
+//
+//simlint:hotpath
 func (o *OBL) successors(blk mem.Addr) []mem.Addr {
-	out := make([]mem.Addr, o.degree)
-	for i := range out {
-		out[i] = blk + mem.Addr(i) + 1
+	for i := range o.next {
+		o.next[i] = blk + mem.Addr(i) + 1
 	}
-	return out
+	return o.next
 }
 
 // rptState is the Baer-Chen per-entry automaton.
@@ -199,6 +211,8 @@ func (r *RPT) set(pc mem.Addr) []rptEntry {
 // Observe updates the automaton for one data reference and returns a
 // block to prefetch when the entry is steady. It is called for every
 // load and store, hit or miss.
+//
+//simlint:hotpath
 func (r *RPT) Observe(a mem.Access) (blk mem.Addr, ok bool) {
 	if a.Kind == mem.IFetch || a.PC == 0 {
 		return 0, false

@@ -290,8 +290,8 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 
 // runPointsFanOut measures every point in one multi-config
 // window-sharded replay. Only the hit-rate family routes here: the
-// cpi metric replays through the timing model, which is not a
-// core.System and cannot join a fan-out.
+// cpi metric replays each point through its own timing replay
+// (measurePoint), which is order-dependent and never window-sharded.
 func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
 	systems := make([]*core.System, len(cfgs))
 	for i, cfg := range cfgs {
@@ -378,9 +378,10 @@ func BuildWorkload(name, sizeS string) (*workload.Workload, error) {
 
 // measurePoint replays the recorded trace through cfg and extracts
 // the metric. The hit-rate family replays on the batched no-PC hot
-// path; cpi replays the full event order through the timing model, so
-// every metric is identical to a direct workload run against the
-// configured system.
+// path; cpi replays through the timing model on the batched timing
+// replay (timing.ReplayStore), retiring the recorded instruction
+// counts at their recorded positions, so every metric is identical to
+// a direct workload run against the configured system.
 func measurePoint(ctx context.Context, tr *trace.Store, cfg core.Config, metric string) (float64, error) {
 	switch metric {
 	case "hit", "eb", "missrate":
@@ -406,7 +407,7 @@ func measurePoint(ctx context.Context, tr *trace.Store, cfg core.Config, metric 
 		if err != nil {
 			return 0, err
 		}
-		if err := tr.ReplayContext(ctx, m); err != nil {
+		if err := timing.ReplayStore(ctx, []*timing.Model{m}, tr, 0); err != nil {
 			return 0, err
 		}
 		return m.Stats().CPI(), nil

@@ -170,8 +170,15 @@ func (m *Model) AccessBatch(accs []mem.Access) {
 // Access runs one reference through the memory system and charges its
 // latency.
 func (m *Model) Access(a mem.Access) {
-	out := m.sys.AccessOutcome(a)
+	m.charge(m.sys.AccessOutcome(a), a.Kind == mem.Write, uint64(a.Addr))
+}
 
+// charge bills one serviced reference: write is its store flag and
+// addr its byte address, which a secondary cache needs on a memory
+// access.
+//
+//simlint:hotpath
+func (m *Model) charge(out core.Outcome, write bool, addr uint64) {
 	// Bus occupancy: every block moved (prefetches issued on this
 	// access, plus a write-back, plus a demand fetch) holds the bus.
 	busy := out.Prefetches * m.lat.BusBlock
@@ -194,10 +201,10 @@ func (m *Model) Access(a mem.Access) {
 		// A secondary cache, when present, intercepts the fast path.
 		if m.l2 != nil && out.Level == core.LevelMemory {
 			var res cache.Result
-			if a.Kind == mem.Write {
-				res = m.l2.Write(uint64(a.Addr))
+			if write {
+				res = m.l2.Write(addr)
 			} else {
-				res = m.l2.Read(uint64(a.Addr))
+				res = m.l2.Read(addr)
 			}
 			if res.Hit {
 				stall += m.lat.L2Hit

@@ -41,7 +41,7 @@ type Store struct {
 	addr   []byte // address records, see the layout above
 	pc     []byte // per access: uvarint(zigzag64(pc delta)), per-kind last
 	sizes  []sizeException
-	insts  []instEvent
+	insts  []InstEvent
 	n      int
 	nInsts uint64
 	rings  [ringSlots]ringState // encoder stream predictors, indexed ring<<2|kind
@@ -123,15 +123,17 @@ type sizeException struct {
 	size uint8
 }
 
-// instEvent records a retired-instruction count at its exact position
+// InstEvent records a retired-instruction count at its exact position
 // in the reference stream: the count arrived after idx accesses had
 // been appended. Keeping the position (rather than only a total) lets
 // ReplayContext reproduce the recorded event order exactly, so a
 // timing model replayed from a Store charges cycles in the same order
 // a live workload run would.
-type instEvent struct {
-	idx int
-	n   uint64
+type InstEvent struct {
+	// Index is the number of accesses recorded before the count.
+	Index int
+	// N is the retired-instruction count.
+	N uint64
 }
 
 // storeBytesPerRef sizes the address stream preallocation: measured
@@ -277,15 +279,20 @@ func (s *Store) AddInstructions(n uint64) {
 		return
 	}
 	s.nInsts += n
-	if last := len(s.insts) - 1; last >= 0 && s.insts[last].idx == s.n {
-		s.insts[last].n += n
+	if last := len(s.insts) - 1; last >= 0 && s.insts[last].Index == s.n {
+		s.insts[last].N += n
 		return
 	}
-	s.insts = append(s.insts, instEvent{idx: s.n, n: n})
+	s.insts = append(s.insts, InstEvent{Index: s.n, N: n})
 }
 
 // Instructions returns the total retired-instruction count recorded.
 func (s *Store) Instructions() uint64 { return s.nInsts }
+
+// InstEvents returns the positioned instruction counts in record
+// order; counts recorded back to back at one position are coalesced.
+// The slice is the store's own: callers must not modify it.
+func (s *Store) InstEvents() []InstEvent { return s.insts }
 
 // Len returns the number of stored accesses.
 func (s *Store) Len() int { return s.n }
@@ -682,13 +689,13 @@ func (s *Store) ReplayContext(ctx context.Context, sink Sink) error {
 	for n := it.Next(buf); n > 0; n = it.Next(buf) {
 		off := 0
 		for off < n {
-			for len(insts) > 0 && insts[0].idx == pos {
-				sink.AddInstructions(insts[0].n)
+			for len(insts) > 0 && insts[0].Index == pos {
+				sink.AddInstructions(insts[0].N)
 				insts = insts[1:]
 			}
 			end := n
-			if len(insts) > 0 && insts[0].idx < pos+(end-off) {
-				end = off + (insts[0].idx - pos)
+			if len(insts) > 0 && insts[0].Index < pos+(end-off) {
+				end = off + (insts[0].Index - pos)
 			}
 			emit(buf[off:end])
 			pos += end - off
@@ -701,8 +708,8 @@ func (s *Store) ReplayContext(ctx context.Context, sink Sink) error {
 		}
 	}
 	// Counts recorded after the final access.
-	for len(insts) > 0 && insts[0].idx == pos {
-		sink.AddInstructions(insts[0].n)
+	for len(insts) > 0 && insts[0].Index == pos {
+		sink.AddInstructions(insts[0].N)
 		insts = insts[1:]
 	}
 	return nil
