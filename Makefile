@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-baseline lint-fixtures vet race fuzz fuzz-smoke bench bench-smoke bench-check bench-update sweep-smoke optimize-smoke paper quick examples serve service-smoke clean
+.PHONY: all build test lint lint-baseline lint-fixtures vet race fuzz fuzz-smoke bench bench-smoke bench-check bench-update replay-smoke sweep-smoke optimize-smoke paper quick examples serve service-smoke clean
 
 all: build lint test
 
@@ -58,7 +58,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path benchmark regexp shared by the bench-* gates below.
-BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|Fig3Sharded$$|HalvingScratch$$|HalvingIncremental$$
+BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|HalvingScratch$$|HalvingIncremental$$
 
 # bench-smoke is the CI gate: one iteration per hot-path benchmark,
 # checked against the committed baseline (BENCH_after.json) by
@@ -77,18 +77,17 @@ bench-check:
 bench-update:
 	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 2s -count 5 -baseline BENCH_after.json -update
 
-# replay-smoke exercises the window-sharded replay engine end to end:
-# the same fig3 regeneration runs at a forced eight-way chunk plan on
-# one worker and on every core; the two tables must be byte-identical
-# (the chunk plan is a function of the trace alone, so worker width
-# changes wall-clock time only). Closeness of the sharded statistics
-# to the exact sequential ones is pinned separately by the ShardExact
-# oracle and the bounded-divergence test in internal/core.
+# replay-smoke is the host-independence gate on the reproduction's
+# default output: the same fig9 and table2 regeneration runs on one
+# core (GOMAXPROCS=1) and on every core; the two outputs must be
+# byte-identical. Every experiment replays exactly, so worker width
+# changes wall-clock time only.
+REPLAY_SMOKE_ARGS = -exp fig9,table2 -scale 0.1
 replay-smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-1worker.out
-	$(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-nworker.out
-	cmp replay-1worker.out replay-nworker.out
-	rm -f replay-1worker.out replay-nworker.out
+	GOMAXPROCS=1 $(GO) run ./cmd/paperexp $(REPLAY_SMOKE_ARGS) > replay-1core.out
+	$(GO) run ./cmd/paperexp $(REPLAY_SMOKE_ARGS) > replay-ncore.out
+	cmp replay-1core.out replay-ncore.out
+	rm -f replay-1core.out replay-ncore.out
 
 # sweep-smoke exercises the parallel sweep scheduler end to end: the
 # same 8-value stream-count sweep runs serial (-parallel 1) and at one

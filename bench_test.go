@@ -457,12 +457,13 @@ func BenchmarkTraceReplayScalar(b *testing.B) {
 	b.ReportMetric(float64(len(accs))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
-// benchReplayMulti measures the multi-config fan-out engine: one
-// decode pass drives nSys systems (sequential mode, the shape the
-// experiments use — the win being measured is decode elimination, not
-// goroutines). refs/s is aggregate: trace length × nSys per op.
+// benchReplayMulti measures the exact multi-config fan-out: one decode
+// pass drives nSys systems sharing one L1 front (the shape the
+// experiments use — the win being measured is decode elimination and
+// the shared front, not goroutines). refs/s is aggregate: trace
+// length × nSys per op.
 //
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiMode
+//simlint:hotpath streamsim/internal/core.ReplayStoreAll
 func benchReplayMulti(b *testing.B, nSys int) {
 	store, _ := replayFixture(b)
 	refs := store.Len()
@@ -477,7 +478,7 @@ func benchReplayMulti(b *testing.B, nSys int) {
 			}
 			systems[j] = sys
 		}
-		if err := core.ReplayStoreMultiMode(ctx, systems, store, core.FanOutSequential); err != nil {
+		if err := core.ReplayStoreAll(ctx, systems, store); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,8 +495,8 @@ func BenchmarkReplayMulti8(b *testing.B) { benchReplayMulti(b, 8) }
 
 // benchReplayIntra measures the window-sharded engine end to end: the
 // same trace and system count as benchReplayMulti, but the trace
-// itself splits into window chunks (forced to eight so the plan — and
-// therefore the statistics — is identical on every host) consumed by
+// itself splits into window chunks (the engine's own plan, a function
+// of the trace alone: four chunks for this fixture) consumed by
 // GOMAXPROCS workers from forked state. refs/s counts trace length ×
 // nSys, excluding the warmup replays, so the number is directly
 // comparable to ReplayMultiN: the gap is the win of intra-trace
@@ -517,7 +518,7 @@ func benchReplayIntra(b *testing.B, nSys int) {
 			}
 			systems[j] = sys
 		}
-		if err := core.ReplayStoreMultiWindowed(ctx, systems, store, core.ShardOptions{Shards: 8}); err != nil {
+		if err := core.ReplayStoreMultiWindowed(ctx, systems, store); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,29 +531,6 @@ func BenchmarkReplayIntra2(b *testing.B) { benchReplayIntra(b, 2) }
 // BenchmarkReplayIntra8 window-shards an 8-system fan-out group — the
 // fig3 shape with the trace split across the cores as well.
 func BenchmarkReplayIntra8(b *testing.B) { benchReplayIntra(b, 8) }
-
-// BenchmarkFig3Sharded regenerates Figure 3 with forced window
-// sharding (the paperexp -shards path): its wall-clock per op is the
-// sharded fig3 latency number BENCH_*.json tracks. One untimed run
-// first warms the experiments' trace cache, so every timed op
-// measures replay alone and the single-iteration CI gate sees the
-// same regime the committed baseline averaged.
-func BenchmarkFig3Sharded(b *testing.B) {
-	e, err := experiments.Lookup("fig3")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := experiments.Options{Scale: benchScale, Shards: 8}
-	if _, err := e.Run(context.Background(), opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(context.Background(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchHalving runs one full successive-halving optimization per op —
 // the optimize-smoke incremental configuration (applu's 8-window small

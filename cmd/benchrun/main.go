@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench     = fs.String("bench", "SystemThroughput|TraceReplay|ReplayMulti|ReplayIntra|Fig3Sharded|Halving", "benchmark regexp passed to go test -bench")
+		bench     = fs.String("bench", "SystemThroughput|TraceReplay|ReplayMulti|ReplayIntra|Halving", "benchmark regexp passed to go test -bench")
 		benchtime = fs.String("benchtime", "1s", "go test -benchtime value (e.g. 2s, 100x)")
 		count     = fs.Int("count", 1, "runs per benchmark; the best is kept")
 		pkg       = fs.String("pkg", ".", "package containing the benchmarks")

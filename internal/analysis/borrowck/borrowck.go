@@ -1,8 +1,8 @@
 // Package borrowck enforces the batch-scope borrowing invariant: a
 // parameter whose declaration doc carries //simlint:borrowed <name>
 // (receiver names work too) is lent to the callee for the duration of
-// the call — a decoded trace batch handed to ReplayStoreMulti
-// followers, a tap-event slice, a cache.Prober snapshot — and the
+// the call — a decoded trace batch handed to the systems of a
+// fan-out replay, a tap-event slice, a cache.Prober snapshot — and the
 // callee must not retain it. No stores to struct fields or package
 // variables, no capture by goroutine or func literal, no return, no
 // channel send.

@@ -490,11 +490,10 @@ func (p *Prober) Probe(addr uint64) (way uint64, st ProbeStatus) {
 func (c *Cache) AddHits(n uint64) { c.stats.Hits += n }
 
 // SetStats overwrites the statistics wholesale. It exists for the
-// multi-config replay engine: when every system in a fan-out shares an
-// identical L1 configuration, one leader simulates the front end and
-// the followers adopt its counters instead of re-deriving them
-// reference by reference. Any other use forfeits the invariant that
-// stats describe this cache's own history.
+// window-sharded replay engine: after the per-chunk deltas merge, a
+// system takes over the final chunk's caches and puts its merged
+// counters back on them (core's adoptState). Any other use forfeits
+// the invariant that stats describe this cache's own history.
 //
 //simlint:statefull adopt
 func (c *Cache) SetStats(s Stats) { c.stats = s }

@@ -161,12 +161,11 @@ type System struct {
 
 	// tap, when non-nil, records every backend event missVia generates
 	// (L1 miss fills, write-backs and no-write-allocate stores). The
-	// multi-config replay engine enables it on one leader system when
-	// every system in a fan-out shares the same L1 front end: the
-	// followers then replay only the tapped events through their
-	// stream-side state instead of re-simulating an identical L1 (see
-	// applyTap). tapRef is the batch index AccessPacked is on, stamped
-	// into each event.
+	// fan-out replay loop arms it on a bare front when every system
+	// shares the same L1 front end: the systems then replay only the
+	// tapped events through their stream-side state instead of
+	// re-simulating an identical L1 (see applyTap). tapRef is the batch
+	// index AccessPacked is on, stamped into each event.
 	tap    []TapEvent
 	tapRef uint32
 }
@@ -603,11 +602,11 @@ func (s *System) invalidateStreams(blk mem.Addr) {
 	}
 }
 
-// tapEvent records one backend event for a multi-config fan-out
-// leader. Outlined from missVia so the //simlint:hotpath closure stays
+// tapEvent records one backend event for a shared-front fan-out.
+// Outlined from missVia so the //simlint:hotpath closure stays
 // free of allocating constructs: the append runs only when a fan-out
 // replay armed the tap (s.tap != nil), never on the single-system
-// steady state, and the leader preallocates the buffer to the batch
+// steady state, and the front preallocates the buffer to the batch
 // length so growth is the rare case even then.
 //
 //simlint:coldpath
@@ -621,14 +620,14 @@ func (s *System) tapEvent(addr uint64, kind uint8, write, ifetch bool) {
 	s.tap = append(s.tap, TapEvent{Addr: addr, Ref: s.tapRef, Kind: kind})
 }
 
-// applyTap replays a leader system's tapped backend events (see
+// applyTap replays a shared front's tapped backend events (see
 // System.tap) through this system's stream-side state: write-backs
 // invalidate streams and fill misses run the victim-less routing tail
 // of missVia. The caller guarantees this system's L1 front end is
-// configured identically to the leader's and has no victim cache, so
-// every L1 decision the leader made holds here verbatim; the L1
-// statistics themselves are copied once at the end of the replay
-// (adoptFrontStats) instead of being re-simulated. Like missVia it
+// configured identically to the front's and has no victim cache, so
+// every L1 decision the front made holds here verbatim; the L1 state
+// and statistics themselves are copied once at the end of the replay
+// (adoptFront) instead of being re-simulated. Like missVia it
 // accounts s.out as it goes, which TapOutcome reads.
 //
 //simlint:hotpath
@@ -686,28 +685,17 @@ func (s *System) TapOutcome(events []TapEvent) Outcome {
 	return s.out
 }
 
-// adoptFrontStats copies the shared-front L1 statistics from the
-// leader of a fan-out replay onto this follower, whose own L1 state
-// was never exercised (applyTap fed it backend events only). Identical
-// configuration and an identical reference stream make the leader's
-// L1 counters exactly what this system's would have been.
-func (s *System) adoptFrontStats(leader *System) {
-	s.l1i.SetStats(leader.l1i.Stats())
-	s.l1d.SetStats(leader.l1d.Stats())
-}
-
-// adoptFront copies the leader's whole L1 front end — architectural
-// state and statistics — onto this follower. The prefix replay engine
-// uses it instead of adoptFrontStats so every system it returns is
-// individually checkpointable: a follower's own L1 was never exercised
-// (applyTap fed it backend events only), and a checkpoint that froze
-// that pristine front could not resume as a leader or solo system. The
-// clone is exactly the L1 a solo replay would have left, because the
-// shared front guarantees identical configuration over an identical
-// reference stream.
-func (s *System) adoptFront(leader *System) {
-	s.l1i = leader.l1i.Clone()
-	s.l1d = leader.l1d.Clone()
+// adoptFront takes over the shared front's whole L1 front end —
+// architectural state and statistics — from the bare front that
+// simulated it during a fan-out replay (replayWindows). This system's
+// own L1 was never exercised (applyTap fed it backend events only), so
+// without the copy a checkpoint would freeze a pristine front that
+// could not resume solo. The clone is exactly the L1 a solo replay
+// would have left, because the shared front guarantees identical
+// configuration over an identical reference stream.
+func (s *System) adoptFront(front *System) {
+	s.l1i = front.l1i.Clone()
+	s.l1d = front.l1d.Clone()
 }
 
 // allocatePolicy implements the paper's allocation pipeline: no filter

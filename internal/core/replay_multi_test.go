@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -74,48 +73,30 @@ func newSystems(t testing.TB, cfgs []core.Config) []*core.System {
 }
 
 // TestReplayStoreMultiMatchesIndependent pins the fan-out engine's
-// contract: for every workload and a mixed config set, both fan-out
-// modes produce per-system results identical to N independent
-// ReplayStore runs.
+// contract: for every workload and a mixed config set (one shared L1
+// front, so the tap path runs), ReplayStoreAll produces per-system
+// results identical to N independent ReplayStore runs.
 func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 	const scale = 0.05
-	ctx := context.Background()
 	cfgs := multiConfigs()
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
-			st := recordTrace(t, name, scale)
-
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStore(ctx, sys, st); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
-			}
-
-			for _, mode := range []struct {
-				name string
-				mode core.FanOut
-			}{
-				{"sequential", core.FanOutSequential},
-				{"sharded", core.FanOutSharded},
-			} {
-				systems := newSystems(t, cfgs)
-				if err := core.ReplayStoreMultiMode(ctx, systems, st, mode.mode); err != nil {
-					t.Fatal(err)
-				}
-				if got := core.LastFanOutWidth(); got != len(systems) {
-					t.Errorf("%s: LastFanOutWidth = %d, want %d", mode.name, got, len(systems))
-				}
-				for i, sys := range systems {
-					if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("%s: config %d results diverge from independent replay:\ngot  %+v\nwant %+v",
-							mode.name, i, got, want[i])
-					}
-				}
-			}
+			checkAllMatchesIndependent(t, cfgs, recordTrace(t, name, scale))
 		})
 	}
+}
+
+// checkAllMatchesIndependent replays st through cfgs once with
+// ReplayStoreAll and requires results byte-identical to one solo
+// ReplayStore per config.
+func checkAllMatchesIndependent(t *testing.T, cfgs []core.Config, st *trace.Store) {
+	t.Helper()
+	want := sequentialResults(t, cfgs, st)
+	systems := newSystems(t, cfgs)
+	if err := core.ReplayStoreAll(context.Background(), systems, st); err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, systems, want)
 }
 
 // TestReplayStoreMultiMixedFront pins the fan-out fallback: when the
@@ -125,7 +106,6 @@ func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 // deliberately breaks it three ways: a direct-mapped L1D, a victim
 // cache, and the shared baseline alongside them.
 func TestReplayStoreMultiMixedFront(t *testing.T) {
-	ctx := context.Background()
 	direct := core.DefaultConfig()
 	direct.L1D.Assoc = 1
 	direct.L1D.Replacement = 0 // LRU — stamped, exercises the non-deferred batch path too
@@ -134,26 +114,7 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 	cfgs := []core.Config{core.DefaultConfig(), direct, victim}
 	for _, name := range []string{"mgrid", "cgm"} {
 		t.Run(name, func(t *testing.T) {
-			st := recordTrace(t, name, 0.05)
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStore(ctx, sys, st); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
-			}
-			for _, mode := range []core.FanOut{core.FanOutSequential, core.FanOutSharded} {
-				systems := newSystems(t, cfgs)
-				if err := core.ReplayStoreMultiMode(ctx, systems, st, mode); err != nil {
-					t.Fatal(err)
-				}
-				for i, sys := range systems {
-					if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("mode %v: config %d results diverge from independent replay:\ngot  %+v\nwant %+v",
-							mode, i, got, want[i])
-					}
-				}
-			}
+			checkAllMatchesIndependent(t, cfgs, recordTrace(t, name, 0.05))
 		})
 	}
 }
@@ -171,73 +132,64 @@ func syntheticStore(nRefs int) *trace.Store {
 }
 
 // TestReplayStoreMultiCancel checks that a cancelled context aborts
-// the fan-out promptly in both modes: the call returns ctx.Err() and
-// no system consumes more than one extra batch after the cancel. The
-// pre-cancelled variant bounds the damage exactly; the mid-flight
-// variant (cancel from another goroutine) is the shape the simd
-// service exercises and runs race-clean under -race.
+// the fan-out promptly: the call returns ctx.Err() and no system
+// consumes more than one extra batch after the cancel. The fan-out
+// replays sequentially on the calling goroutine. The pre-cancelled
+// variant bounds the damage exactly; the mid-flight variant (cancel
+// from another goroutine) is the shape the simd service exercises and
+// runs race-clean under -race.
 func TestReplayStoreMultiCancel(t *testing.T) {
 	st := syntheticStore(64 * trace.ReplayBatchLen)
 	cfgs := multiConfigs()
 
-	for _, mode := range []struct {
-		name string
-		mode core.FanOut
-	}{
-		{"sequential", core.FanOutSequential},
-		{"sharded", core.FanOutSharded},
-	} {
-		t.Run(mode.name+"/pre-cancelled", func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiMode(ctx, systems, st, mode.mode); err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiMode = %v, want context.Canceled", err)
+	t.Run("sequential/pre-cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		systems := newSystems(t, cfgs)
+		if err := core.ReplayStoreAll(ctx, systems, st); err != context.Canceled {
+			t.Fatalf("ReplayStoreAll = %v, want context.Canceled", err)
+		}
+		for i, sys := range systems {
+			r := sys.Results()
+			if consumed := r.L1I.Accesses + r.L1D.Accesses; consumed > trace.ReplayBatchLen {
+				t.Errorf("system %d consumed %d refs after pre-cancel, want <= one batch (%d)",
+					i, consumed, trace.ReplayBatchLen)
 			}
-			for i, sys := range systems {
-				r := sys.Results()
-				if consumed := r.L1I.Accesses + r.L1D.Accesses; consumed > trace.ReplayBatchLen {
-					t.Errorf("system %d consumed %d refs after pre-cancel, want <= one batch (%d)",
-						i, consumed, trace.ReplayBatchLen)
-				}
-			}
-		})
-		t.Run(mode.name+"/mid-flight", func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			systems := newSystems(t, cfgs)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			errc := make(chan error, 1)
-			go func() {
-				defer wg.Done()
-				errc <- core.ReplayStoreMultiMode(ctx, systems, st, mode.mode)
-			}()
-			cancel()
-			wg.Wait()
-			// The replay may have finished before the cancel landed;
-			// either outcome is legal, but a cancelled run must report
-			// context.Canceled, never a partial-success nil.
-			if err := <-errc; err != nil && err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiMode = %v, want nil or context.Canceled", err)
-			}
-		})
-	}
+		}
+	})
+	t.Run("sequential/mid-flight", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		systems := newSystems(t, cfgs)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		errc := make(chan error, 1)
+		go func() {
+			defer wg.Done()
+			errc <- core.ReplayStoreAll(ctx, systems, st)
+		}()
+		cancel()
+		wg.Wait()
+		// The replay may have finished before the cancel landed;
+		// either outcome is legal, but a cancelled run must report
+		// context.Canceled, never a partial-success nil.
+		if err := <-errc; err != nil && err != context.Canceled {
+			t.Fatalf("ReplayStoreAll = %v, want nil or context.Canceled", err)
+		}
+	})
 }
 
 // TestReplayStoreMultiDegenerate covers the zero- and one-system
-// shapes, which take dedicated paths.
+// shapes: an empty set is a no-op and a single system replays in full
+// without a shared front.
 func TestReplayStoreMultiDegenerate(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(3 * trace.ReplayBatchLen)
-	if err := core.ReplayStoreMulti(ctx, nil, st); err != nil {
+	if err := core.ReplayStoreAll(ctx, nil, st); err != nil {
 		t.Fatalf("empty system set: %v", err)
 	}
 	one := newSystems(t, multiConfigs()[:1])
-	if err := core.ReplayStoreMulti(ctx, one, st); err != nil {
+	if err := core.ReplayStoreAll(ctx, one, st); err != nil {
 		t.Fatal(err)
-	}
-	if got := core.LastFanOutWidth(); got != 1 {
-		t.Errorf("LastFanOutWidth after single-system replay = %d, want 1", got)
 	}
 	if consumed := one[0].Results().L1D.Accesses; consumed != uint64(st.Len()) {
 		t.Errorf("single-system replay consumed %d refs, want %d", consumed, st.Len())

@@ -39,7 +39,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 			// Scratch reference: one uninterrupted full replay per config.
 			want := make([]core.Results, len(cfgs))
 			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStoreMultiPrefix(ctx, []*core.System{sys}, st, 0); err != nil {
+				if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, st, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 				want[i] = sys.Results()
@@ -47,7 +47,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 
 			// Prefix to F as a generation, checkpoint every system.
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiPrefix(ctx, systems, st, F); err != nil {
+			if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, F); err != nil {
 				t.Fatal(err)
 			}
 			cks := make([]*core.Checkpoint, len(systems))

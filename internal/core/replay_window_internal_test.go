@@ -2,29 +2,24 @@ package core
 
 import "testing"
 
-// TestPlanShards pins the chunk plan's boundaries: derived plans split
-// only when every chunk can carry minChunkWindows, cap at
-// maxAutoChunks, and a request is honoured but never exceeds the
-// window count. The plan is a function of these two inputs alone —
-// that invariant is what makes sharded results machine-independent.
+// TestPlanShards pins the chunk plan's boundaries: plans split only
+// when every chunk can carry minChunkWindows and cap at maxAutoChunks.
+// The plan is a function of the window count alone — that invariant
+// is what makes sharded results machine-independent.
 func TestPlanShards(t *testing.T) {
 	cases := []struct {
-		K, requested, want int
+		K, want int
 	}{
-		{0, 0, 1},
-		{1, 0, 1},
-		{minChunkWindows*2 - 1, 0, 1},
-		{minChunkWindows * 2, 0, 2},
-		{minChunkWindows * 10, 0, 10},
-		{minChunkWindows * maxAutoChunks * 4, 0, maxAutoChunks},
-		{100, 7, 7},
-		{5, 8, 5},
-		{100, 1, 1},
-		{100, -3, 1},
+		{0, 1},
+		{1, 1},
+		{minChunkWindows*2 - 1, 1},
+		{minChunkWindows * 2, 2},
+		{minChunkWindows * 10, 10},
+		{minChunkWindows * maxAutoChunks * 4, maxAutoChunks},
 	}
 	for _, c := range cases {
-		if got := planShards(c.K, c.requested); got != c.want {
-			t.Errorf("planShards(%d, %d) = %d, want %d", c.K, c.requested, got, c.want)
+		if got := planShards(c.K); got != c.want {
+			t.Errorf("planShards(%d) = %d, want %d", c.K, got, c.want)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func trafficOf(ctx context.Context, name string, size workload.Size, scale float
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.replay(ctx, sys, core.ShardOptions{}); err != nil {
+	if err := tr.replay(ctx, sys); err != nil {
 		return nil, err
 	}
 	return blocks, nil

@@ -30,12 +30,10 @@ type Options struct {
 	// Scale is the workload iteration scale in (0, 1]; 1 reproduces
 	// the full traces, smaller values run faster for smoke tests.
 	Scale float64
-	// Shards forces the window-shard count of the hit-rate replays
-	// (core.ShardOptions.Shards): 0 derives the chunk plan from each
-	// trace's window count, 1 forces exact sequential replays. The
-	// timing experiments (extscale, extcpi) ignore it — cycle
-	// accounting is order-dependent, so they always replay
-	// sequentially.
+	// Shards is ignored: every experiment replays its traces exactly.
+	//
+	// Deprecated: kept only so existing callers that set it still
+	// compile.
 	Shards int
 	// Streams overrides nothing; experiments fix their own memory
 	// system configurations per the paper.
@@ -141,11 +139,9 @@ func (r *recorded) replayTimed(ctx context.Context, models []*timing.Model) erro
 }
 
 // replay feeds the trace into a memory system through the batched
-// hot path, window-sharded across workers when the trace is long
-// enough (core.ReplayStoreWindowed; systems carrying traffic hooks
-// fall back to an exact sequential pass automatically).
-func (r *recorded) replay(ctx context.Context, sys *core.System, opt core.ShardOptions) error {
-	if err := core.ReplayStoreWindowed(ctx, sys, r.store, opt); err != nil {
+// hot path (core.ReplayStore), exactly.
+func (r *recorded) replay(ctx context.Context, sys *core.System) error {
+	if err := core.ReplayStore(ctx, sys, r.store); err != nil {
 		return err
 	}
 	sys.AddInstructions(r.insts)
@@ -154,14 +150,12 @@ func (r *recorded) replay(ctx context.Context, sys *core.System, opt core.ShardO
 }
 
 // replayMulti feeds the trace into every system from one decode per
-// batch via the window-sharded fan-out engine: N configs share each
-// decoded 512-reference slice while it is L1-hot, and long traces
-// additionally split into window chunks across workers. The chunk
-// plan depends only on the trace and opt, never on the host, so the
-// published numbers are machine-independent; short traces replay
-// exactly as the sequential engine would.
-func (r *recorded) replayMulti(ctx context.Context, systems []*core.System, opt core.ShardOptions) error {
-	if err := core.ReplayStoreMultiWindowed(ctx, systems, r.store, opt); err != nil {
+// batch (core.ReplayStoreAll): N configs share each decoded
+// 512-reference slice while it is L1-hot, and systems sharing the
+// paper's L1 front simulate it once. Every system's results are
+// exactly those of its own replay, on any host.
+func (r *recorded) replayMulti(ctx context.Context, systems []*core.System) error {
+	if err := core.ReplayStoreAll(ctx, systems, r.store); err != nil {
 		return err
 	}
 	for _, sys := range systems {
@@ -329,7 +323,7 @@ func runConfig(ctx context.Context, name string, size workload.Size, opt Options
 	if err != nil {
 		return core.Results{}, err
 	}
-	if err := tr.replay(ctx, sys, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := tr.replay(ctx, sys); err != nil {
 		return core.Results{}, err
 	}
 	return sys.Results(), nil
@@ -350,7 +344,7 @@ func runConfigs(ctx context.Context, name string, size workload.Size, opt Option
 			return nil, err
 		}
 	}
-	if err := tr.replayMulti(ctx, systems, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := tr.replayMulti(ctx, systems); err != nil {
 		return nil, err
 	}
 	res := make([]core.Results, len(systems))

@@ -151,6 +151,26 @@ func TestFigure9Shape(t *testing.T) {
 	}
 }
 
+// TestFigure9DefaultIsExact pins the reproduction's default output to
+// the exact simulation: Figure 9 with default options renders the same
+// table as with the deprecated exact-replay request (Shards: 1), on
+// traces long enough (fftpde, trfd) that a window-sharded replay would
+// split them and shift the printed hit rates.
+func TestFigure9DefaultIsExact(t *testing.T) {
+	ctx := context.Background()
+	def, err := Figure9(ctx, Options{Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := Figure9(ctx, Options{Scale: 0.1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := def.Render(), exact.Render(); got != want {
+		t.Errorf("default Figure 9 differs from the exact replay:\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTable4Shape(t *testing.T) {
 	tbl, err := Table4(context.Background(), quick)
 	if err != nil {

@@ -135,13 +135,15 @@ func (ev *evaluator) nodeCost(cfg core.Config) (float64, error) {
 }
 
 // evaluate scores one generation. windows > 0 replays only that many
-// sample windows (a cheap halving rung); windows == 0 replays the full
-// trace through the window-sharded engine with zero options — the same
-// machine-independent call the sweep engine uses, so full-trace scores
-// are identical to a solo sweep point's and independent of generation
-// grouping. The generation is split into up to Spec.Parallel
-// contiguous groups replayed concurrently; per-candidate results never
-// depend on the grouping, so any width produces identical evaluations.
+// sample windows (a cheap halving rung), exactly; windows == 0 scores
+// the full trace through the window-sharded engine
+// (core.ReplayStoreMultiWindowed), whose warmup-bounded approximation
+// is the full-trace score of record. Its chunk plan is a function of
+// the trace alone, so full-trace scores are machine-independent and
+// independent of generation grouping. The generation is split into up
+// to Spec.Parallel contiguous groups replayed concurrently;
+// per-candidate results never depend on the grouping, so any width
+// produces identical evaluations.
 //
 // With the incremental layer enabled, a candidate whose exact (key,
 // windows) evaluation is memoized is served without replaying anything,
@@ -149,8 +151,8 @@ func (ev *evaluator) nodeCost(cfg core.Config) (float64, error) {
 // restores it and replays only [F, windows). A full-trace evaluation
 // resumes from a checkpoint only when the windowed engine would have
 // replayed exactly anyway (core.FullReplayResumable); on shardable
-// traces its warmup-bounded approximation is the score of record, so
-// those evaluations run from scratch.
+// traces its approximation is the score of record, so those
+// evaluations run from scratch.
 func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int) ([]Eval, error) {
 	if len(pool) == 0 {
 		return nil, nil
@@ -258,7 +260,7 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 					}
 					var err error
 					if fullEval && js[0].from == 0 {
-						err = core.ReplayStoreMultiWindowed(runCtx, group, ev.tr, core.ShardOptions{})
+						err = core.ReplayStoreMultiWindowed(runCtx, group, ev.tr)
 					} else {
 						err = core.ReplayStoreMultiPrefixFrom(runCtx, group, ev.tr, js[0].from, to)
 					}

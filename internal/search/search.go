@@ -9,8 +9,8 @@
 // Three strategies share one batched evaluator:
 //
 //   - halving: successive halving — score a generation of candidates
-//     on a few sample windows (core.ReplayStoreMultiPrefix decodes the
-//     prefix once for the whole generation), keep the top half, and
+//     on a few sample windows (core.ReplayStoreMultiPrefixFrom decodes
+//     the prefix once for the whole generation), keep the top half, and
 //     re-evaluate survivors on progressively longer prefixes until the
 //     finalists run the full trace;
 //   - pareto: Pareto-front exploration over (metric, cost) — evaluate
@@ -23,9 +23,12 @@
 // Everything is deterministic by construction: candidate generation
 // draws from a rand.Rand seeded by Spec.Seed, evaluation goes through
 // replay entry points that are machine-independent and identical at
-// any parallelism width, and ties break by candidate order. A fixed
-// seed therefore reproduces the same result bit-for-bit on any host at
-// any -parallel width.
+// any parallelism width, and ties break by candidate order. Prefix
+// rungs replay exactly; full-trace scores come from the
+// warmup-approximate window-sharded engine
+// (core.ReplayStoreMultiWindowed), whose plan depends on the trace
+// alone. A fixed seed therefore reproduces the same result bit-for-bit
+// on any host at any -parallel width.
 package search
 
 import (

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamsim/internal/core"
 	"streamsim/internal/experiments"
 	"streamsim/internal/search"
 	"streamsim/internal/service/api"
@@ -124,8 +123,6 @@ func (s *Server) initMetrics() {
 	gauge("workers", func() any { return s.cfg.Workers })
 	gauge("trace_cache_hits", func() any { return experiments.TraceCacheHits() })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
-	gauge("replay_fanout_width", func() any { return core.LastFanOutWidth() })
-	gauge("replay_window_shards", func() any { return core.LastWindowShards() })
 	gauge("search_evals_total", func() any { return search.EvalsTotal() })
 	gauge("search_eval_cache_hits_total", func() any { return search.EvalCacheHits() })
 	gauge("search_front_size", func() any { return search.LastFrontSize() })

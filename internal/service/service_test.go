@@ -452,7 +452,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, key := range []string{
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
 		"memo_hits", "workers", "trace_cache_hits", "refs_replayed_total",
-		"refs_per_sec", "replay_fanout_width", "replay_window_shards", "uptime_seconds",
+		"refs_per_sec", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)

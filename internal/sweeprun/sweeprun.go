@@ -239,10 +239,8 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 	// for parameters that leave the L1 untouched (streams, depth,
 	// filter, czone, latency) the L1 front end simulates once with
 	// every point replaying only its own stream-side events. Both this
-	// path and the per-point workers below replay through the
-	// window-sharded engine with identical (zero) options, so the chunk
-	// plan — a function of the trace alone — and therefore the values
-	// are identical at any Parallel width.
+	// path and the per-point workers below replay exactly, so the
+	// values are identical at any Parallel width.
 	if s.Metric != "cpi" && s.Parallel <= 1 {
 		return runPointsFanOut(ctx, s, tr, cfgs, values)
 	}
@@ -288,10 +286,10 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 	return ctx.Err()
 }
 
-// runPointsFanOut measures every point in one multi-config
-// window-sharded replay. Only the hit-rate family routes here: the
-// cpi metric replays each point through its own timing replay
-// (measurePoint), which is order-dependent and never window-sharded.
+// runPointsFanOut measures every point in one exact multi-config
+// replay (core.ReplayStoreAll). Only the hit-rate family routes here:
+// the cpi metric replays each point through its own timing replay
+// (measurePoint).
 func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
 	systems := make([]*core.System, len(cfgs))
 	for i, cfg := range cfgs {
@@ -301,7 +299,7 @@ func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.C
 		}
 		systems[i] = sys
 	}
-	if err := core.ReplayStoreMultiWindowed(ctx, systems, tr, core.ShardOptions{}); err != nil {
+	if err := core.ReplayStoreAll(ctx, systems, tr); err != nil {
 		return err
 	}
 	for i, sys := range systems {
@@ -389,7 +387,7 @@ func measurePoint(ctx context.Context, tr *trace.Store, cfg core.Config, metric 
 		if err != nil {
 			return 0, err
 		}
-		if err := core.ReplayStoreWindowed(ctx, sys, tr, core.ShardOptions{}); err != nil {
+		if err := core.ReplayStore(ctx, sys, tr); err != nil {
 			return 0, err
 		}
 		sys.AddInstructions(tr.Instructions())

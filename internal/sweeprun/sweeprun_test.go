@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"streamsim/internal/core"
 )
 
 // baseSpec is a small sweep that touches the replay path for a real
@@ -44,6 +46,59 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 				t.Errorf("tables diverged:\nsequential %+v\nparallel %+v", seqTab, parTab)
 			}
 		})
+	}
+}
+
+// TestRunMatchesSoloReplay pins sweeps to the exact simulation: on a
+// trace long enough for the window-sharded engine to split it (appbt
+// large at scale 0.05 has at least 64 sample windows), every point of
+// a hit and an EB sweep, serial (one fan-out replay) or parallel
+// (per-point replays), equals a solo core.ReplayStore of that point's
+// configuration.
+func TestRunMatchesSoloReplay(t *testing.T) {
+	ctx := context.Background()
+	_, tr, err := Record(ctx, "appbt", "large", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := tr.WindowCount(); k < 64 {
+		t.Fatalf("appbt large at 0.05 has %d windows, want >= 64", k)
+	}
+	values := []int{2, 8}
+	solo := make([]core.Results, len(values))
+	for i, v := range values {
+		cfg := core.DefaultConfig()
+		if err := ParamSet["streams"].Apply(&cfg, v); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.ReplayStore(ctx, sys, tr); err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = sys.Results()
+	}
+	for _, metric := range []string{"hit", "eb"} {
+		for _, parallel := range []int{1, 2} {
+			spec := Spec{Workload: "appbt", Size: "large", Param: "streams", Values: values,
+				Metric: metric, Scale: 0.05, Parallel: parallel}
+			_, got, err := Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range solo {
+				want := r.StreamHitRate()
+				if metric == "eb" {
+					want = r.ExtraBandwidth()
+				}
+				if got[i] != want {
+					t.Errorf("%s parallel=%d streams=%d: sweep %v, solo replay %v",
+						metric, parallel, values[i], got[i], want)
+				}
+			}
+		}
 	}
 }
 
