@@ -78,11 +78,13 @@ bench-update:
 	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 2s -count 5 -baseline BENCH_after.json -update
 
 # replay-smoke is the host-independence gate on the reproduction's
-# default output: the same fig9 and table2 regeneration runs on one
-# core (GOMAXPROCS=1) and on every core; the two outputs must be
-# byte-identical. Every experiment replays exactly, so worker width
-# changes wall-clock time only.
-REPLAY_SMOKE_ARGS = -exp fig9,table2 -scale 0.1
+# default output: the same fig3, table2, table3 and fig9 regeneration
+# runs on one core (GOMAXPROCS=1) and on every core; the two outputs
+# must be byte-identical. Every experiment replays exactly, so worker
+# width changes wall-clock time only. Table 2 and Table 3 are answered
+# from the per-trace results memo that Figure 3 fills, so the gate
+# also checks the memo-served tables.
+REPLAY_SMOKE_ARGS = -exp fig3,table2,table3,fig9 -scale 0.1
 replay-smoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/paperexp $(REPLAY_SMOKE_ARGS) > replay-1core.out
 	$(GO) run ./cmd/paperexp $(REPLAY_SMOKE_ARGS) > replay-ncore.out

@@ -75,10 +75,16 @@ func hooked(systems []*System) bool {
 // system, sharding the trace itself across workers by sample windows
 // (each worker drives all the systems through the decode-once fan-out
 // loop). Its statistics are approximate: relative to the exact replay
-// of ReplayStoreAll they differ by each chunk's residual state error,
-// bounded by warmupWindows of warmup (the measured worst case
-// over every workload is pinned by TestReplayWindowedBoundedDivergence
-// and DESIGN.md §10). Traces too short for two chunks (under
+// of ReplayStoreAll, stream hit rate, extra bandwidth and miss rate
+// differ by each chunk's residual state error, bounded by
+// warmupWindows of warmup (the measured worst case over every
+// workload is pinned by TestReplayWindowedBoundedDivergence and
+// DESIGN.md §10). The stream-length histograms (Streams.Lengths) are
+// not bounded: a stream alive across a chunk edge is cut into two
+// short ones, so the mix shifts toward short streams (at -scale 1,
+// trfd's 1-5 / >20 buckets read 74.9 % / 25.0 % against 10.0 % /
+// 90.0 % exact). Never report a stream-length mix from this engine.
+// Traces too short for two chunks (under
 // 2*minChunkWindows windows) and hook-carrying systems take the exact
 // path instead.
 //

@@ -3,6 +3,11 @@
 // machine's cores; within a benchmark, every x-axis configuration
 // replays from a single decode of the recorded trace (runConfigs), so
 // a nine-point sweep decodes its trace once instead of nine times.
+// runConfigs also memoizes each finished configuration per trace, so a
+// column another artefact already simulated is not simulated again:
+// Figure 5's "w/o" column is Figure 3's ten-stream column, Figure 8's
+// unit-only column is Figure 5's filtered run, and Figure 9's 16-bit
+// column is Figure 8's czone run.
 package experiments
 
 import (

@@ -109,12 +109,21 @@ func table1Size(name string) workload.Size {
 type recorded struct {
 	store *trace.Store
 	insts uint64
+
+	// mu guards results, the finished simulations of this trace keyed
+	// by configuration (see runConfigs). The memo lives and dies with
+	// the trace, so ResetTraceCache drops it too.
+	mu      sync.Mutex
+	results map[configKey]core.Results
 }
 
 // newRecorded sizes the store from the per-workload reference
 // estimate so recording never regrows mid-trace.
 func newRecorded(name string, size workload.Size, scale float64) *recorded {
-	return &recorded{store: trace.NewStore(int(workload.EstimateRefs(name, size, scale)))}
+	return &recorded{
+		store:   trace.NewStore(int(workload.EstimateRefs(name, size, scale))),
+		results: map[configKey]core.Results{},
+	}
 }
 
 // Access implements workload.Sink.
@@ -172,8 +181,17 @@ func (r *recorded) replayMulti(ctx context.Context, systems []*core.System) erro
 var replayedRefs atomic.Uint64
 
 // ReplayedRefs returns the total references replayed through completed
-// trace passes since process start.
+// trace passes since process start. Configurations served from a
+// trace's results memo (runConfigs) replay nothing and add nothing.
 func ReplayedRefs() uint64 { return replayedRefs.Load() }
+
+// resultCacheHits counts configurations served from a trace's results
+// memo instead of a replay, process-wide (a simd /metrics gauge).
+var resultCacheHits atomic.Uint64
+
+// ResultCacheHits returns how many configuration runs were served from
+// the per-trace results memo since process start.
+func ResultCacheHits() uint64 { return resultCacheHits.Load() }
 
 // traceCache memoizes recorded traces per (name, size, scale) so a
 // multi-configuration experiment generates each workload once.
@@ -218,10 +236,11 @@ func record(ctx context.Context, name string, size workload.Size, scale float64)
 	return v.(*recorded), nil
 }
 
-// ResetTraceCache drops memoized traces (used by benchmarks that want
-// to measure generation cost). Entries are deleted in place rather
-// than by reassigning the sync.Map value, which would race with
-// concurrent Loads from in-flight experiment runs.
+// ResetTraceCache drops memoized traces, and with each trace its
+// results memo (used by benchmarks that want every iteration to pay
+// generation and simulation, as a fresh run does). Entries are deleted
+// in place rather than by reassigning the sync.Map value, which would
+// race with concurrent Loads from in-flight experiment runs.
 func ResetTraceCache() {
 	traceCache.Range(func(k, _ any) bool {
 		traceCache.Delete(k)
@@ -313,44 +332,117 @@ func noStreams() core.Config {
 	return cfg
 }
 
-// runConfig replays a benchmark trace through a configuration.
-func runConfig(ctx context.Context, name string, size workload.Size, opt Options, cfg core.Config) (core.Results, error) {
-	tr, err := record(ctx, name, size, opt.Scale)
-	if err != nil {
-		return core.Results{}, err
-	}
-	sys, err := core.New(cfg)
-	if err != nil {
-		return core.Results{}, err
-	}
-	if err := tr.replay(ctx, sys); err != nil {
-		return core.Results{}, err
-	}
-	return sys.Results(), nil
+// configKey identifies a hook-free core.Config in a trace's results
+// memo: every field but the two hooks, nested cache and stream
+// configurations included. TestConfigKeyCoversEveryField fails when a
+// new Config field is left out.
+type configKey struct {
+	geometry            mem.Geometry
+	l1i, l1d            cache.Config
+	streams, depth      int
+	latency             uint64
+	realloc             stream.Realloc
+	partitionedStreams  bool
+	victimEntries       int
+	unitFilterEntries   int
+	stride              core.StrideScheme
+	strideFilterEntries int
+	czoneBits           uint
+	minDeltaMax         int64
 }
 
-// runConfigs replays one benchmark trace through every configuration,
-// decoding each batch once for all of them. It is the multi-config
-// analogue of runConfig; each entry of the returned slice is
-// byte-identical to a runConfig call with the same configuration.
+// keyOf returns cfg's memo key. ok is false when cfg carries a hook:
+// a hook's side effects must happen on every run, so such a
+// configuration is never memoized.
+func keyOf(cfg core.Config) (k configKey, ok bool) {
+	if cfg.OnMemoryTraffic != nil || cfg.Streams.OnPrefetch != nil {
+		return configKey{}, false
+	}
+	return configKey{
+		geometry:            cfg.Geometry,
+		l1i:                 cfg.L1I,
+		l1d:                 cfg.L1D,
+		streams:             cfg.Streams.Streams,
+		depth:               cfg.Streams.Depth,
+		latency:             cfg.Streams.Latency,
+		realloc:             cfg.Streams.Realloc,
+		partitionedStreams:  cfg.PartitionedStreams,
+		victimEntries:       cfg.VictimEntries,
+		unitFilterEntries:   cfg.UnitFilterEntries,
+		stride:              cfg.Stride,
+		strideFilterEntries: cfg.StrideFilterEntries,
+		czoneBits:           cfg.CzoneBits,
+		minDeltaMax:         cfg.MinDeltaMax,
+	}, true
+}
+
+// runConfig replays a benchmark trace through a configuration: a
+// one-configuration runConfigs.
+func runConfig(ctx context.Context, name string, size workload.Size, opt Options, cfg core.Config) (core.Results, error) {
+	res, err := runConfigs(ctx, name, size, opt, []core.Config{cfg})
+	if err != nil {
+		return core.Results{}, err
+	}
+	return res[0], nil
+}
+
+// runConfigs returns the results of one benchmark trace under every
+// configuration. Each distinct hook-free configuration is simulated
+// once per trace: its finished results are memoized in the trace's
+// cache entry, and later requests (Table 2 and Table 3 read Figure 3's
+// ten-stream column, for one) are answered from the memo. The rest
+// replay from one decode of the trace (a single one through replay,
+// several through replayMulti); hooked configurations always replay.
+// Callers pass distinct configurations: a repeat within one call is
+// simulated again. Two concurrent calls may both simulate a configuration neither has
+// finished yet; the results are identical, so either may be kept.
+// Every entry of the returned slice equals that configuration's own
+// exact replay.
 func runConfigs(ctx context.Context, name string, size workload.Size, opt Options, cfgs []core.Config) ([]core.Results, error) {
 	tr, err := record(ctx, name, size, opt.Scale)
 	if err != nil {
 		return nil, err
 	}
-	systems := make([]*core.System, len(cfgs))
+	res := make([]core.Results, len(cfgs))
+	var sims []int // indices of the configurations the memo lacks
+	tr.mu.Lock()
 	for i, cfg := range cfgs {
-		if systems[i], err = core.New(cfg); err != nil {
+		if k, ok := keyOf(cfg); ok {
+			if r, hit := tr.results[k]; hit {
+				res[i] = r
+				resultCacheHits.Add(1)
+				continue
+			}
+		}
+		sims = append(sims, i)
+	}
+	tr.mu.Unlock()
+	if len(sims) == 0 {
+		return res, nil
+	}
+
+	systems := make([]*core.System, len(sims))
+	for j, i := range sims {
+		if systems[j], err = core.New(cfgs[i]); err != nil {
 			return nil, err
 		}
 	}
-	if err := tr.replayMulti(ctx, systems); err != nil {
+	if len(systems) == 1 {
+		err = tr.replay(ctx, systems[0])
+	} else {
+		err = tr.replayMulti(ctx, systems)
+	}
+	if err != nil {
 		return nil, err
 	}
-	res := make([]core.Results, len(systems))
-	for i, sys := range systems {
-		res[i] = sys.Results()
+	tr.mu.Lock()
+	for j, i := range sims {
+		res[i] = systems[j].Results()
+		if k, ok := keyOf(cfgs[i]); ok {
+			tr.results[k] = res[i]
+		}
 	}
+	tr.mu.Unlock()
 	return res, nil
 }
 

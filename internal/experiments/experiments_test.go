@@ -155,13 +155,16 @@ func TestFigure9Shape(t *testing.T) {
 // the exact simulation: Figure 9 with default options renders the same
 // table as with the deprecated exact-replay request (Shards: 1), on
 // traces long enough (fftpde, trfd) that a window-sharded replay would
-// split them and shift the printed hit rates.
+// split them and shift the printed hit rates. The trace cache is reset
+// between the runs so the second simulates rather than reading the
+// first's memoized results.
 func TestFigure9DefaultIsExact(t *testing.T) {
 	ctx := context.Background()
 	def, err := Figure9(ctx, Options{Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ResetTraceCache()
 	exact, err := Figure9(ctx, Options{Scale: 0.1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)

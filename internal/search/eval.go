@@ -295,6 +295,10 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 			// on access-stream metrics only, which don't need them.
 			jb.sys.AddInstructions(ev.tr.Instructions())
 		}
+		// Full-trace evals replay through the window-sharded engine:
+		// hit rate, EB and miss rate stay within its warmup bound of
+		// the exact replay, but r.Streams.Lengths does not (DESIGN.md
+		// §10), so a score must never read the stream-length mix.
 		r := jb.sys.Results()
 		e := &evals[jb.idx]
 		e.Hit = r.StreamHitRate()

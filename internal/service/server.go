@@ -122,6 +122,7 @@ func (s *Server) initMetrics() {
 	gauge("memo_hits", func() any { _, _, _, _, _, h := s.store.stats(); return h })
 	gauge("workers", func() any { return s.cfg.Workers })
 	gauge("trace_cache_hits", func() any { return experiments.TraceCacheHits() })
+	gauge("result_cache_hits", func() any { return experiments.ResultCacheHits() })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
 	gauge("search_evals_total", func() any { return search.EvalsTotal() })
 	gauge("search_eval_cache_hits_total", func() any { return search.EvalCacheHits() })

@@ -451,7 +451,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, key := range []string{
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
-		"memo_hits", "workers", "trace_cache_hits", "refs_replayed_total",
+		"memo_hits", "workers", "trace_cache_hits", "result_cache_hits", "refs_replayed_total",
 		"refs_per_sec", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {
